@@ -151,7 +151,7 @@
 // register-tiled SYRK for the Pearson product Z·Zᵀ (2×4 micro-tiles sized
 // to amd64's register file), a finish pass that fuses the correlation
 // fixups, the mirror, and the dissimilarity transform into one blocked
-// traversal, a 4-ary implicit heap for Dijkstra/APSP, and unrolled
+// traversal, a 4-ary implicit heap for Dijkstra, and unrolled
 // min/argmin and max-gain scan kernels used by the HAC NN-chain and TMFG
 // gain recomputation. Kernels are sequential over explicit ranges — the
 // algorithm layers drive them in parallel — and bit-deterministic: worker
@@ -171,6 +171,23 @@
 // count. README.md ("Kernel layer") documents the tiling scheme, the
 // determinism guarantee, and how to pick tile sizes; BENCH_kernels.json
 // and BENCH_simd.json record the measured speedups.
+//
+// # All-pairs shortest paths
+//
+// DBHT needs shortest-path distances between all vertex pairs of the
+// filtered graph. A TMFG is a planar 3-tree, hence chordal, so
+// internal/graph recognises it (3n−6 edges, peelable to a K4 by removing
+// degree-3 vertices whose neighbours form a triangle) and computes exact
+// APSP by elimination along the peel order: a backward pass, Floyd–Warshall
+// on the K4 and a forward fill, two O(n²) passes instead of the paper's n
+// Dijkstra runs. PMFGs and any other graph keep parallel per-source
+// Dijkstra. The peel order is a pure function of the graph and the
+// elimination passes are sequential, so distances are bit-identical for
+// every worker count on both paths. Elimination and Dijkstra sum a path's
+// edges in different orders and can differ in the last ulp; the golden
+// corpus and a dendrogram equality sweep pin that DBHT output does not
+// change. README.md ("All-pairs shortest paths") gives the measured gain
+// and the e2ebench command that reproduces it.
 //
 // See the examples/ directory for runnable programs and README.md for the
 // architecture overview and the context-aware API.

@@ -6,46 +6,48 @@ import (
 	"testing"
 )
 
-// benchGraph builds a deterministic sparse graph with ~3n edges (each vertex
-// connects to the next three), the edge density of a TMFG (3n−6), with
-// positive dissimilarity-like weights. This mirrors the APSP workload inside
-// DBHT without importing the tmfg package (which depends on graph). Shared
-// with TestAPSPWorkersBitIdentical so the determinism test pins the same
-// workload the benchmark measures.
-func benchGraph(tb testing.TB, n int) *Graph {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(int64(n)))
-	edges := make([]Edge, 0, 3*n)
-	for i := 0; i < n; i++ {
-		for d := 1; d <= 3; d++ {
-			if j := i + d; j < n {
-				edges = append(edges, Edge{U: int32(i), V: int32(j), W: 0.05 + rng.Float64()})
-			}
-		}
-	}
-	g, err := FromEdges(n, edges)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return g
+// apspShapes are the APSP benchmark workloads, one per path of
+// AllPairsShortestPathsWS, both planar with 3n−6 edges and positive
+// dissimilarity-like weights: a random stacked 3-tree (the shape of a TMFG,
+// solved by elimination) and a stacked octahedron (a maximal planar graph
+// that is not a 3-tree, like a PMFG, solved by parallel Dijkstra). They
+// mirror the APSP workload inside DBHT without importing the tmfg package
+// (which depends on graph), and TestAPSPWorkersBitIdentical pins the same
+// workloads the benchmark measures.
+var apspShapes = []struct {
+	name      string
+	threeTree bool
+	build     func(tb testing.TB, n int) *Graph
+}{
+	{"3tree", true, func(tb testing.TB, n int) *Graph {
+		return randomThreeTree(tb, rand.New(rand.NewSource(int64(n))), n, true, false)
+	}},
+	{"non3tree", false, func(tb testing.TB, n int) *Graph {
+		return octahedronStack(tb, rand.New(rand.NewSource(int64(n))), n)
+	}},
 }
 
-// BenchmarkAPSP measures the parallel Dijkstra all-pairs kernel (the DBHT
-// stage the paper identifies as the bottleneck) at TMFG-like edge density.
+// BenchmarkAPSP measures AllPairsShortestPaths on both of its paths at the
+// DBHT sizes of interest.
 func BenchmarkAPSP(b *testing.B) {
-	for _, n := range []int{128, 512, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchGraph(b, n)
-			// Warm-up so b.N iterations run on a warm workspace pool.
-			g.AllPairsShortestPaths()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a := g.AllPairsShortestPaths()
-				if a == nil {
-					b.Fatal("nil APSP")
+	for _, shape := range apspShapes {
+		for _, n := range []int{512, 1024} {
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
+				g := shape.build(b, n)
+				if g.IsThreeTree() != shape.threeTree {
+					b.Fatalf("IsThreeTree = %v, want %v", !shape.threeTree, shape.threeTree)
 				}
-			}
-		})
+				// Warm-up so b.N iterations run on a warm workspace pool.
+				g.AllPairsShortestPaths()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a := g.AllPairsShortestPaths()
+					if a == nil {
+						b.Fatal("nil APSP")
+					}
+				}
+			})
+		}
 	}
 }

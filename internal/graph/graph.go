@@ -1,7 +1,23 @@
 // Package graph provides the weighted undirected graph representation and
 // shortest-path machinery used by filtered-graph clustering: BFS, Dijkstra
-// single-source shortest paths, parallel all-pairs shortest paths, triangle
+// single-source shortest paths, exact all-pairs shortest paths, triangle
 // enumeration, and connectivity queries.
+//
+// All-pairs shortest paths pick their strategy from the graph.
+// AllPairsShortestPathsWS first recognises a 3-tree: exactly 3n−6 edges
+// with n ≥ 4, reducible to a K4 by peeling degree-3 vertices whose
+// neighbours form a triangle. Every TMFG is one, because it is built by
+// inserting each vertex into a triangular face. A 3-tree is chordal and the
+// peel order is a perfect elimination order, so its APSP is solved exactly
+// by elimination: a backward pass over the peel order, Floyd–Warshall on
+// the K4 and a forward fill, two O(n²) passes in place of n Dijkstra runs.
+// Every other graph (a PMFG, a generic input) runs parallel per-source
+// Dijkstra, which stays callable as AllPairsShortestPathsDijkstraWS. Both
+// give the same bits for every worker count: the peel FIFO is seeded in
+// ascending vertex id, the elimination passes are sequential and only
+// their final gather is parallel, and each Dijkstra source runs
+// sequentially. Negative or NaN weights are rejected up front with
+// ErrBadWeight.
 //
 // All hot paths run on flat memory: the graph itself is CSR, visited sets
 // are dense bitsets, and component enumeration produces flat CSR-offset

@@ -342,28 +342,35 @@ func TestBFSDistancesWS(t *testing.T) {
 	w.PutInt32(got)
 }
 
-// TestAPSPWorkersBitIdentical pins the Dijkstra APSP to the same bits for
-// every worker budget: each source's run is sequential, so the partition of
-// sources across workers cannot change any distance.
+// TestAPSPWorkersBitIdentical pins both APSP paths to the same bits for
+// every worker budget. On the 3-tree the elimination passes are sequential
+// and the parallel gather only copies; on the non-3-tree each Dijkstra
+// source runs sequentially. Either way the partition of work across workers
+// cannot change any distance.
 func TestAPSPWorkersBitIdentical(t *testing.T) {
-	g := benchGraph(t, 90)
 	ctx := context.Background()
-	p1 := exec.New(1)
-	defer p1.Close()
-	a1, err := g.AllPairsShortestPathsCtx(ctx, p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 7} {
-		p := exec.New(workers)
-		a, err := g.AllPairsShortestPathsCtx(ctx, p)
-		p.Close()
+	for _, shape := range apspShapes {
+		g := shape.build(t, 90)
+		if g.IsThreeTree() != shape.threeTree {
+			t.Fatalf("%s: IsThreeTree = %v", shape.name, !shape.threeTree)
+		}
+		p1 := exec.New(1)
+		a1, err := g.AllPairsShortestPathsCtx(ctx, p1)
+		p1.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range a.Dist {
-			if math.Float64bits(a.Dist[i]) != math.Float64bits(a1.Dist[i]) {
-				t.Fatalf("workers=%d: dist[%d] = %v, want %v", workers, i, a.Dist[i], a1.Dist[i])
+		for _, workers := range []int{2, 7} {
+			p := exec.New(workers)
+			a, err := g.AllPairsShortestPathsCtx(ctx, p)
+			p.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range a.Dist {
+				if math.Float64bits(a.Dist[i]) != math.Float64bits(a1.Dist[i]) {
+					t.Fatalf("%s, workers=%d: dist[%d] = %v, want %v", shape.name, workers, i, a.Dist[i], a1.Dist[i])
+				}
 			}
 		}
 	}

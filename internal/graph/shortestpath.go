@@ -2,6 +2,8 @@ package graph
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"pfg/internal/exec"
 	"pfg/internal/kernel"
@@ -124,9 +126,10 @@ func (g *Graph) bfsDistancesInto(w *ws.Workspace, src int32, dist []int32) {
 	}
 }
 
-// APSP computes all-pairs shortest path distances by running Dijkstra from
-// every vertex in parallel (the strategy the paper uses for DBHT on TMFGs,
-// which have Θ(n) edges). The result is an n×n row-major matrix.
+// APSP is an n×n row-major all-pairs shortest-path distance matrix.
+// AllPairsShortestPathsWS fills it by 3-tree elimination when the graph is
+// a 3-tree (every TMFG) and by parallel per-source Dijkstra — the paper's
+// strategy for DBHT on Θ(n)-edge filtered graphs — otherwise.
 type APSP struct {
 	N    int
 	Dist []float64
@@ -135,28 +138,87 @@ type APSP struct {
 // At returns the shortest-path distance from u to v.
 func (a *APSP) At(u, v int32) float64 { return a.Dist[int(u)*a.N+int(v)] }
 
-// AllPairsShortestPaths runs parallel Dijkstra from every source on the
-// shared default pool, without cancellation.
+// ErrBadWeight reports a negative or NaN edge weight, for which neither
+// APSP strategy is defined. Test for it with errors.Is.
+var ErrBadWeight = errors.New("graph: edge weight is negative or NaN")
+
+// checkWeights returns ErrBadWeight, naming the first offending edge, unless
+// every weight is non-negative and not NaN (+Inf is allowed).
+func (g *Graph) checkWeights() error {
+	for v := int32(0); int(v) < g.N; v++ {
+		for k := g.Off[v]; k < g.Off[v+1]; k++ {
+			if x := g.Weight[k]; !(x >= 0) {
+				return fmt.Errorf("%w: edge (%d,%d) has weight %v", ErrBadWeight, v, g.Adj[k], x)
+			}
+		}
+	}
+	return nil
+}
+
+// AllPairsShortestPaths computes all-pairs shortest paths on the shared
+// default pool, without cancellation. It panics with an ErrBadWeight error
+// if a weight is negative or NaN; AllPairsShortestPathsCtx returns it.
 func (g *Graph) AllPairsShortestPaths() *APSP {
-	a, _ := g.AllPairsShortestPathsCtx(context.Background(), exec.Default())
+	a, err := g.AllPairsShortestPathsCtx(context.Background(), exec.Default())
+	if err != nil {
+		panic(err)
+	}
 	return a
 }
 
-// AllPairsShortestPathsCtx runs parallel Dijkstra from every source on the
-// given pool; cancellation is checked between per-source runs.
+// AllPairsShortestPathsCtx computes all-pairs shortest paths on the given
+// pool with cooperative cancellation; see AllPairsShortestPathsWS.
 func (g *Graph) AllPairsShortestPathsCtx(ctx context.Context, pool *exec.Pool) (*APSP, error) {
 	w := ws.Get()
 	defer ws.Put(w)
 	return g.AllPairsShortestPathsWS(ctx, pool, w)
 }
 
-// AllPairsShortestPathsWS is AllPairsShortestPathsCtx with explicit
-// workspace scratch. Each worker block acquires one heap and reuses it
-// across its sources, so an APSP over a warm workspace performs no
-// per-source allocation. The result's Dist array is drawn from the
-// workspace: callers that discard the APSP before releasing the workspace
-// may return it with w.PutFloat64(a.Dist).
+// AllPairsShortestPathsWS computes exact all-pairs shortest paths with
+// explicit workspace scratch. Weights must be non-negative and not NaN;
+// otherwise it returns an ErrBadWeight error before any work.
+//
+// A 3-tree (exactly 3n−6 edges, n ≥ 4, and peelable down to a K4 by
+// removing degree-3 vertices whose neighbours form a triangle) — which every
+// TMFG is — is solved by elimination along that peel order in two O(n²)
+// passes (see eliminationAPSP). Any other graph, a PMFG for instance, runs
+// AllPairsShortestPathsDijkstraWS. Both strategies produce bits that do not
+// depend on the pool's worker count. They agree to rounding: the two sum a
+// path's edges in different orders, so a distance may differ in the last
+// ulp between them.
+//
+// The result's Dist array is drawn from the workspace: callers that discard
+// the APSP before releasing the workspace may return it with
+// w.PutFloat64(a.Dist).
 func (g *Graph) AllPairsShortestPathsWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace) (*APSP, error) {
+	if err := g.checkWeights(); err != nil {
+		return nil, err
+	}
+	var t threeTree
+	if g.peelThreeTree(w, &t) {
+		defer t.release(w)
+		return g.eliminationAPSP(ctx, pool, w, &t)
+	}
+	return g.dijkstraAPSP(ctx, pool, w)
+}
+
+// AllPairsShortestPathsDijkstraWS runs Dijkstra from every source in
+// parallel on any graph, 3-tree or not: the strategy the paper uses, kept
+// callable for the APSP ablation and as the oracle the elimination path is
+// tested against. Each source's run is sequential, so the partition of
+// sources across workers cannot change any bit. Weights are checked as in
+// AllPairsShortestPathsWS.
+func (g *Graph) AllPairsShortestPathsDijkstraWS(ctx context.Context, pool *exec.Pool, w *ws.Workspace) (*APSP, error) {
+	if err := g.checkWeights(); err != nil {
+		return nil, err
+	}
+	return g.dijkstraAPSP(ctx, pool, w)
+}
+
+// dijkstraAPSP is the parallel Dijkstra APSP on pre-checked weights. Each
+// worker block acquires one heap and reuses it across its sources, so a run
+// over a warm workspace performs no per-source allocation.
+func (g *Graph) dijkstraAPSP(ctx context.Context, pool *exec.Pool, w *ws.Workspace) (*APSP, error) {
 	n := g.N
 	a := &APSP{N: n, Dist: w.Float64(n * n)}
 	err := pool.ForBlocked(ctx, n, 1, func(lo, hi int) {
@@ -171,6 +233,7 @@ func (g *Graph) AllPairsShortestPathsWS(ctx context.Context, pool *exec.Pool, w 
 		h.release(w)
 	})
 	if err != nil {
+		w.PutFloat64(a.Dist)
 		return nil, err
 	}
 	return a, nil
